@@ -146,7 +146,7 @@ impl fmt::Display for ConstraintSystem {
 }
 
 /// The Theorem 1 normal form `f = 0 ∧ ⋀ᵢ gᵢ ≠ 0`.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct NormalSystem {
     /// The single equation: `eq = 0`.
     pub eq: Formula,

@@ -34,16 +34,18 @@
 //! corner query.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use scq_algebra::eval::UnboundVar;
 use scq_algebra::FlatAssignment;
 use scq_bbox::{Bbox, CornerQuery};
 use scq_boolean::Var;
 use scq_core::plan::{BboxPlan, CompiledRow};
-use scq_core::{check_system_in, triangularize, TriangularSystem};
+use scq_core::{check_system_in, NormalSystem, TriangularSystem};
 use scq_region::{Region, RegionAlgebra};
 
 use crate::database::{CollectionId, ObjectRef};
+use crate::memo::compile_plan;
 use crate::query::{IndexKind, Query};
 use crate::stats::ExecStats;
 use crate::view::StoreView;
@@ -546,16 +548,50 @@ fn naive_rec<'e, const K: usize, V: StoreView<K>>(
     Ok(())
 }
 
-/// Prepares the triangular system for a query (shared by the two
-/// optimized executors and exposed for benchmarks that want to time
-/// compilation separately).
+/// Normalizes the query's system and compiles it for `order` through
+/// the compiled-plan memo, timing both into `stats.compile_ns`.
+pub(crate) fn compile_timed<const K: usize>(
+    query: &Query<K>,
+    order: &[Var],
+    stats: &mut ExecStats,
+) -> Arc<BboxPlan<K>> {
+    let started = std::time::Instant::now();
+    let plan = compile_plan(&query.system.normalize(), order);
+    stats.compile_ns = stats
+        .compile_ns
+        .saturating_add(crate::stats::elapsed_ns(started));
+    plan
+}
+
+/// The compiled range-query plan (Algorithm 2 over Algorithm 1's rows)
+/// the optimized executors would run for `query`, from the
+/// compiled-plan memo.
+pub fn compile_query<const K: usize, V: StoreView<K>>(
+    db: &V,
+    query: &Query<K>,
+) -> Result<Arc<BboxPlan<K>>, ExecError> {
+    let prep = prepare(db, query)?;
+    Ok(compile_plan(&query.system.normalize(), &prep.order))
+}
+
+/// The triangular system behind [`compile_query`]'s plan: its order
+/// and solved rows, with the ground residue in canonical form (`0 = 0`
+/// when satisfiable, `1 = 0` otherwise — the residue's status is all a
+/// plan keeps of it).
 pub fn compile_triangular<const K: usize, V: StoreView<K>>(
     db: &V,
     query: &Query<K>,
 ) -> Result<TriangularSystem, ExecError> {
-    let prep = prepare(db, query)?;
-    let normal = query.system.normalize();
-    Ok(triangularize(&normal, &prep.order))
+    let plan = compile_query(db, query)?;
+    let mut ground = NormalSystem::trivial();
+    if !plan.satisfiable {
+        ground.eq = scq_boolean::Formula::One;
+    }
+    Ok(TriangularSystem {
+        order: plan.order.clone(),
+        rows: plan.rows.iter().map(|r| r.exact.clone()).collect(),
+        ground,
+    })
 }
 
 /// Early pruning with exact solved rows, candidates from full collection
@@ -606,11 +642,9 @@ fn run_optimized<const K: usize, V: StoreView<K>>(
 ) -> Result<QueryResult, ExecError> {
     let started = std::time::Instant::now();
     let prep = prepare(db, query)?;
-    let normal = query.system.normalize();
-    let tri = triangularize(&normal, &prep.order);
-    let plan: BboxPlan<K> = BboxPlan::compile(&tri);
-    let alg = db.algebra();
     let mut stats = ExecStats::default();
+    let plan: Arc<BboxPlan<K>> = compile_timed(query, &prep.order, &mut stats);
+    let alg = db.algebra();
     let empty = |mut stats: ExecStats| {
         stats.total_us = crate::stats::elapsed_us(started);
         QueryResult {

@@ -32,6 +32,7 @@
 pub mod database;
 pub mod exec;
 pub mod integrity;
+pub mod memo;
 pub mod parallel;
 pub mod planner;
 pub mod query;
@@ -42,10 +43,12 @@ pub mod workload;
 
 pub use database::{CollectionId, CompactReport, ObjectRef, SpatialDatabase};
 pub use exec::{
-    bbox_execute, bbox_execute_opts, compile_triangular, naive_execute, naive_execute_opts,
-    triangular_execute, triangular_execute_opts, ExecError, ExecOptions, QueryOutcome, QueryResult,
+    bbox_execute, bbox_execute_opts, compile_query, compile_triangular, naive_execute,
+    naive_execute_opts, triangular_execute, triangular_execute_opts, ExecError, ExecOptions,
+    QueryOutcome, QueryResult,
 };
 pub use integrity::{check_integrity, is_consistent, IntegrityRule, Violation};
+pub use memo::{compile_cache_counters, CompileCacheCounters};
 pub use parallel::bbox_execute_parallel;
 pub use planner::{
     order_by_selectivity, with_selectivity_order, SelectivityEstimate, SelectivityPlan,

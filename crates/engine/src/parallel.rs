@@ -30,13 +30,12 @@ use std::sync::{Condvar, Mutex};
 use scq_algebra::FlatAssignment;
 use scq_bbox::Bbox;
 use scq_core::plan::BboxPlan;
-use scq_core::triangularize;
 use scq_region::{Region, RegionAlgebra};
 
 use crate::database::{CollectionId, ObjectRef};
 use crate::exec::{
-    bind_knowns, gather_candidates, level_bufs, prepare, try_candidate, ExecError, ExecOptions,
-    LevelBuf, QueryOutcome, QueryResult, Solution,
+    bind_knowns, compile_timed, gather_candidates, level_bufs, prepare, try_candidate, ExecError,
+    ExecOptions, LevelBuf, QueryOutcome, QueryResult, Solution,
 };
 use crate::query::{IndexKind, Query};
 use crate::stats::ExecStats;
@@ -190,11 +189,9 @@ pub fn bbox_execute_parallel<const K: usize, V: StoreView<K> + Sync>(
     if prep.unknowns.is_empty() {
         return crate::exec::bbox_execute_opts(db, query, kind, options);
     }
-    let normal = query.system.normalize();
-    let tri = triangularize(&normal, &prep.order);
-    let plan: BboxPlan<K> = BboxPlan::compile(&tri);
-    let alg = db.algebra();
     let mut stats = ExecStats::default();
+    let plan = compile_timed(query, &prep.order, &mut stats);
+    let alg = db.algebra();
     let mut missing: Vec<usize> = Vec::new();
     let empty = |stats: ExecStats| QueryResult {
         solutions: Vec::new(),

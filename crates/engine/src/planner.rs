@@ -15,17 +15,20 @@
 //! The planner is generic over [`StoreView`], so the same cost model
 //! serves the unsharded database, the sharded router, and remote
 //! clusters — whatever the executors can run against, the planner can
-//! plan against. Estimates are **execution-parity** numbers: for each
+//! plan against. Each hypothetical order compiles through the
+//! compiled-plan memo ([`crate::memo`]), so planning the same system
+//! again — with any known windows — costs no `triangularize` run; the
+//! compile time is reported in [`SelectivityPlan::stats`]'s
+//! `compile_ns`. Estimates are **execution-parity** numbers: for each
 //! unknown, the estimate equals exactly what `gather_candidates` would
 //! enumerate if that unknown were retrieved first (clamped known boxes,
 //! empty-region objects included, zero for unsatisfiable plans).
 
 use scq_bbox::Bbox;
 use scq_boolean::Var;
-use scq_core::plan::BboxPlan;
-use scq_core::triangularize;
 
 use crate::exec::ExecError;
+use crate::memo::compile_plan;
 use crate::query::{IndexKind, Query};
 use crate::stats::ExecStats;
 use crate::view::StoreView;
@@ -55,7 +58,8 @@ pub struct SelectivityPlan {
     /// The planner's own cost, in executor terms: each index probe is
     /// recorded as a `corner_cache_misses` (a probe no cache served) —
     /// at most one per unknown — with `index_candidates`, shard
-    /// accounting and timings filled in like any execution.
+    /// accounting and timings (`compile_ns` for the per-unknown
+    /// compiles) filled in like any execution.
     pub stats: ExecStats,
 }
 
@@ -71,9 +75,12 @@ pub fn order_by_selectivity<const K: usize, V: StoreView<K>>(
     let alg = db.algebra();
     let knowns = query.known_vars();
     let unknowns = query.unknown_vars();
-    // Shared work, hoisted out of the per-unknown loop: one
-    // normalization, one known-box table, one reusable id buffer.
+    let mut stats = ExecStats::default();
+    // One normalization and one known-box table serve every unknown;
+    // each unknown's hypothetical order compiles through the memo.
+    let compile_started = std::time::Instant::now();
     let normal = query.system.normalize();
+    stats.compile_ns = crate::stats::elapsed_ns(compile_started);
 
     let max_var = query
         .system
@@ -94,7 +101,6 @@ pub fn order_by_selectivity<const K: usize, V: StoreView<K>>(
     let base_order: Vec<Var> = knowns.iter().map(|&(kv, _)| kv).collect();
     let mut order_buf: Vec<Var> = Vec::with_capacity(base_order.len() + unknowns.len());
     let mut ids: Vec<u64> = Vec::new();
-    let mut stats = ExecStats::default();
     let mut missing: Vec<usize> = Vec::new();
     let mut estimates = Vec::with_capacity(unknowns.len());
     for &(v, coll) in &unknowns {
@@ -103,8 +109,11 @@ pub fn order_by_selectivity<const K: usize, V: StoreView<K>>(
         order_buf.extend_from_slice(&base_order);
         order_buf.push(v);
         order_buf.extend(unknowns.iter().map(|&(u, _)| u).filter(|&u| u != v));
-        let tri = triangularize(&normal, &order_buf);
-        let plan: BboxPlan<K> = BboxPlan::compile(&tri);
+        let compile_started = std::time::Instant::now();
+        let plan = compile_plan::<K>(&normal, &order_buf);
+        stats.compile_ns = stats
+            .compile_ns
+            .saturating_add(crate::stats::elapsed_ns(compile_started));
         let candidates = if plan.satisfiable {
             let row = plan.row_for(v).expect("row per variable");
             let q = row.corner_query(|i| known_boxes.get(i).copied().unwrap_or(Bbox::Empty));

@@ -6,6 +6,12 @@ pub fn elapsed_us(start: std::time::Instant) -> u64 {
     start.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
+/// Nanoseconds elapsed since `start`, clamped into `u64` — for layers
+/// (compile) whose common case is far below a microsecond.
+pub fn elapsed_ns(start: std::time::Instant) -> u64 {
+    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
 /// Counters describing how much work an execution did.
 ///
 /// The interesting comparison across executors (benchmark B1):
@@ -75,6 +81,11 @@ pub struct ExecStats {
     /// Wall-clock microseconds the router spent planning shard routes
     /// (always 0 against an unsharded database).
     pub route_us: u64,
+    /// Wall-clock **nanoseconds** spent compiling: normalization plus
+    /// the compiled-plan memo lookup, and Algorithms 1–2 on a memo miss
+    /// (see [`crate::memo`]). Nanoseconds because a memo hit takes about
+    /// a microsecond and would read 0 in a µs field.
+    pub compile_ns: u64,
     /// End-to-end wall-clock microseconds of the execution that
     /// produced this block. Merging keeps the **maximum** — merged
     /// blocks come from concurrent workers or shards, where the
@@ -109,6 +120,7 @@ impl ExecStats {
             probe_us,
             check_us,
             route_us,
+            compile_ns,
             total_us,
         } = other;
         self.solutions = self.solutions.saturating_add(*solutions);
@@ -134,6 +146,7 @@ impl ExecStats {
         self.probe_us = self.probe_us.saturating_add(*probe_us);
         self.check_us = self.check_us.saturating_add(*check_us);
         self.route_us = self.route_us.saturating_add(*route_us);
+        self.compile_ns = self.compile_ns.saturating_add(*compile_ns);
         self.total_us = self.total_us.max(*total_us);
     }
 
@@ -152,6 +165,7 @@ impl ExecStats {
         self.probe_us = 0;
         self.check_us = 0;
         self.route_us = 0;
+        self.compile_ns = 0;
         self.total_us = 0;
         self
     }
@@ -165,7 +179,7 @@ impl std::fmt::Display for ExecStats {
              full_checks={} bbox_rejects={} bound={} tombstones={} shards_pruned={} \
              corner_cache_hits={} corner_cache_misses={} \
              shards_unavailable={} retries={} failovers={} stale_answers={} \
-             probe_us={} check_us={} route_us={} total_us={}",
+             probe_us={} check_us={} route_us={} compile_ns={} total_us={}",
             self.solutions,
             self.partial_tuples,
             self.index_candidates,
@@ -185,6 +199,7 @@ impl std::fmt::Display for ExecStats {
             self.probe_us,
             self.check_us,
             self.route_us,
+            self.compile_ns,
             self.total_us
         )
     }
@@ -218,14 +233,17 @@ mod tests {
     fn merge_saturates_instead_of_wrapping() {
         let mut a = ExecStats {
             exact_row_checks: usize::MAX - 1,
+            compile_ns: u64::MAX - 1,
             ..Default::default()
         };
         let b = ExecStats {
             exact_row_checks: 10,
+            compile_ns: 10,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.exact_row_checks, usize::MAX);
+        assert_eq!(a.compile_ns, u64::MAX);
     }
 
     #[test]
@@ -316,6 +334,7 @@ mod tests {
             probe_us: 10,
             check_us: 5,
             route_us: 1,
+            compile_ns: 900,
             total_us: 40,
             ..Default::default()
         };
@@ -323,16 +342,20 @@ mod tests {
             probe_us: 7,
             check_us: 2,
             route_us: 3,
+            compile_ns: 250_000,
             total_us: 25,
             ..Default::default()
         });
         assert_eq!(a.probe_us, 17);
         assert_eq!(a.check_us, 7);
         assert_eq!(a.route_us, 4);
+        assert_eq!(a.compile_ns, 250_900);
         assert_eq!(a.total_us, 40, "merged total is the slowest leg");
         assert!(a.to_string().contains("probe_us=17"));
+        assert!(a.to_string().contains("compile_ns=250900"));
         let stripped = a.without_timings();
         assert_eq!(stripped.probe_us, 0);
+        assert_eq!(stripped.compile_ns, 0);
         assert_eq!(stripped.total_us, 0);
         assert_eq!(stripped, ExecStats::default());
     }

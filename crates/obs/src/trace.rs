@@ -34,9 +34,21 @@ pub struct SpanRec {
     pub dur_us: u64,
 }
 
+/// A recorded span as stored: its detail is a range of the trace's
+/// shared `text` buffer, so a full trace is two allocations rather
+/// than one per span — retained traces fragment the heap far less.
+struct Rec {
+    name: &'static str,
+    detail: std::ops::Range<usize>,
+    depth: usize,
+    start_us: u64,
+    dur_us: u64,
+}
+
 #[derive(Default)]
 struct TraceInner {
-    spans: Vec<SpanRec>,
+    spans: Vec<Rec>,
+    text: String,
     depth: usize,
 }
 
@@ -78,10 +90,19 @@ impl TraceState {
         InstallGuard { prev }
     }
 
-    fn record(&self, rec: SpanRec) {
+    fn record(&self, name: &'static str, detail: &str, depth: usize, start_us: u64, dur_us: u64) {
         let mut inner = self.inner.lock().expect("trace lock");
         if inner.spans.len() < MAX_SPANS {
-            inner.spans.push(rec);
+            let from = inner.text.len();
+            inner.text.push_str(detail);
+            let detail = from..inner.text.len();
+            inner.spans.push(Rec {
+                name,
+                detail,
+                depth,
+                start_us,
+                dur_us,
+            });
         }
     }
 
@@ -89,7 +110,18 @@ impl TraceState {
     /// children started after them; guard-recorded spans appear when
     /// they end).
     pub fn spans(&self) -> Vec<SpanRec> {
-        self.inner.lock().expect("trace lock").spans.clone()
+        let inner = self.inner.lock().expect("trace lock");
+        inner
+            .spans
+            .iter()
+            .map(|r| SpanRec {
+                name: r.name,
+                detail: inner.text[r.detail.clone()].to_string(),
+                depth: r.depth,
+                start_us: r.start_us,
+                dur_us: r.dur_us,
+            })
+            .collect()
     }
 
     /// Renders the span tree as lines: `name dur=<µs>us [detail]`,
@@ -176,13 +208,7 @@ pub fn event(name: &'static str, detail: impl Into<String>) {
                     .min(u64::MAX as u128) as u64,
             )
         };
-        trace.record(SpanRec {
-            name,
-            detail: detail.into(),
-            depth,
-            start_us,
-            dur_us: 0,
-        });
+        trace.record(name, &detail.into(), depth, start_us, 0);
     }
 }
 
@@ -212,13 +238,8 @@ impl Drop for SpanGuard {
             let mut inner = self.trace.inner.lock().expect("trace lock");
             inner.depth = inner.depth.saturating_sub(1);
         }
-        self.trace.record(SpanRec {
-            name: self.name,
-            detail: std::mem::take(&mut self.detail),
-            depth: self.depth,
-            start_us: self.start_us,
-            dur_us,
-        });
+        self.trace
+            .record(self.name, &self.detail, self.depth, self.start_us, dur_us);
     }
 }
 

@@ -103,6 +103,12 @@
 //!   effective write to the collection bumps its epoch and retires the
 //!   entries (`candidate_cache_hits`/`candidate_cache_misses` in
 //!   `STAT`). Only complete, primary-fresh answers are ever cached.
+//! * every `SOLVE` and `EXPLAIN` compiles through the engine's
+//!   process-wide compiled-plan memo ([`scq_engine::memo`]), keyed by
+//!   (normal system, retrieval order): a repeat with new known windows
+//!   runs no `triangularize` (`compile_cache_hits`/
+//!   `compile_cache_misses` in `STAT`, `engine.compile_cache_*` in
+//!   `METRICS`).
 //!
 //! Mutations (`INSERT`, `REMOVE`, `UPDATE`, `COMPACT`, snapshot loads)
 //! never degrade: a shard process that cannot acknowledge one yields a
@@ -682,7 +688,8 @@ pub fn smoke_script(snapshot_dir: &str) -> Vec<(String, String)> {
 /// real work during the session: the scripts repeat a `QUERY` verbatim
 /// (must hit), issue fresh probes (must miss), and mutate between
 /// repeats (the post-mutation repeat must miss again — epoch
-/// invalidation). With `want_plan_hit`, a verbatim `SOLVE` repeat in
+/// invalidation), and repeat a `SOLVE` (the engine's compiled-plan memo
+/// must hit). With `want_plan_hit`, a verbatim `SOLVE` repeat in
 /// selectivity mode must have reused its cached retrieval order.
 pub fn verify_cache_counters(transcript: &[String], want_plan_hit: bool) -> Result<(), String> {
     let stat = transcript
@@ -713,6 +720,11 @@ pub fn verify_cache_counters(transcript: &[String], want_plan_hit: bool) -> Resu
         return Err(format!(
             "plan cache never hit despite a repeated SOLVE in \
              selectivity mode: {stat:?}"
+        ));
+    }
+    if field("compile_cache_hits=")? == 0 {
+        return Err(format!(
+            "compiled-plan memo never hit despite a repeated SOLVE: {stat:?}"
         ));
     }
     Ok(())

@@ -25,10 +25,10 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use scq_bbox::{Bbox, CornerQuery};
-use scq_core::{parse_system, BboxPlan};
+use scq_core::parse_system;
 use scq_engine::workload::{map_workload, MapParams};
 use scq_engine::{
-    compile_triangular, order_by_selectivity, CollectionId, ExecOptions, IndexKind, ObjectRef,
+    compile_query, order_by_selectivity, CollectionId, ExecOptions, IndexKind, ObjectRef,
     ProbeReport, Query, QueryOutcome, SpatialDatabase, VarBinding,
 };
 use scq_region::{AaBox, Region};
@@ -80,7 +80,7 @@ pub struct ServeMetrics {
 impl Default for ServeMetrics {
     fn default() -> Self {
         let registry = scq_obs::Registry::new();
-        ServeMetrics {
+        let metrics = ServeMetrics {
             queries: registry.counter("serve.queries"),
             retries: registry.counter("serve.retries"),
             shards_unavailable: registry.counter("serve.shards_unavailable"),
@@ -93,7 +93,17 @@ impl Default for ServeMetrics {
             plan_cache_hits: registry.counter("serve.plan_cache_hits"),
             plan_cache_misses: registry.counter("serve.plan_cache_misses"),
             registry,
-        }
+        };
+        // The engine's process-wide compiled-plan memo counters, under
+        // their own names in the same scrape.
+        let compiles = scq_engine::compile_cache_counters();
+        metrics
+            .registry
+            .register_counter("engine.compile_cache_hits", compiles.hits.clone());
+        metrics
+            .registry
+            .register_counter("engine.compile_cache_misses", compiles.misses.clone());
+        metrics
     }
 }
 
@@ -598,7 +608,8 @@ fn dispatch<B: ShardBackend>(
                          retries={} shards_unavailable={} partial_answers={} \
                          failovers={} stale_answers={} candidate_cache_hits={} \
                          candidate_cache_misses={} plan_cache_hits={} \
-                         plan_cache_misses={}{} {}",
+                         plan_cache_misses={} compile_cache_hits={} \
+                         compile_cache_misses={}{} {}",
                         d.n_shards(),
                         d.collections().count(),
                         d.backend(0).describe(),
@@ -611,6 +622,8 @@ fn dispatch<B: ShardBackend>(
                         counter("serve.candidate_cache_misses"),
                         counter("serve.plan_cache_hits"),
                         counter("serve.plan_cache_misses"),
+                        counter("engine.compile_cache_hits"),
+                        counter("engine.compile_cache_misses"),
                         wal_rows(&d),
                         shard_health(&d)
                     ))
@@ -973,8 +986,7 @@ fn explain<B: ShardBackend>(
     }
     // The compiled range-query plan (Algorithm 2's triangular rows)
     // for the order that would actually execute.
-    let tri = compile_triangular(&*d, &query).map_err(|e| e.to_string())?;
-    let bbox_plan: BboxPlan<2> = BboxPlan::compile(&tri);
+    let bbox_plan = compile_query(&*d, &query).map_err(|e| e.to_string())?;
     body.push('\n');
     body.push_str(bbox_plan.explain(&query.system.table).trim_end());
     Ok(multiline(&body))
